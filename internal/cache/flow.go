@@ -60,15 +60,15 @@ const (
 // Run executes (or replays) a flow. The source return tells where the
 // artifact came from: SourceMem, SourceDisk, SourceMiss (cold run, now
 // cached), or SourceBypass (cold run, not cacheable). Caching is bypassed
-// when the options carry non-addressable content — a custom gate library
-// or rewrite database — and failures are never cached, so a transient
-// cancellation does not poison later requests.
+// when the options carry non-addressable content — a custom gate library —
+// and failures are never cached, so a transient cancellation does not
+// poison later requests.
 //
 // When withReport is set and no tracer is supplied in opts, Run attaches
 // its own per-run tracer so the stored artifact carries the cold run's
 // stage report; warm requests replay that report unchanged.
 func (fc *FlowCache) Run(ctx context.Context, spec *network.XAG, opts core.Options, withSQD, withReport bool) (*FlowArtifact, string, error) {
-	bypass := opts.Library != nil || opts.Rewrite.DB != nil
+	bypass := opts.Library != nil
 	var key Key
 	if !bypass {
 		key = FlowKey(spec, opts, withSQD, withReport)

@@ -161,8 +161,8 @@ func HashXAG(x *network.XAG) Key {
 // specification network plus every option that can change the produced
 // artifacts, including whether the SiQAD file and the run report were
 // requested. Callers must not use flow caching with a custom gate library
-// or rewrite database (their content is not addressable); see
-// FlowCache.Run, which bypasses the cache in that case.
+// (its content is not addressable); see FlowCache.Run, which bypasses the
+// cache in that case.
 func FlowKey(spec *network.XAG, opts core.Options, withSQD, withReport bool) Key {
 	h := newHasher()
 	hashXAGInto(h, spec)

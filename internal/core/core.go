@@ -174,13 +174,16 @@ func RunContext(ctx context.Context, spec *network.XAG, opts Options) (*Result, 
 	if opts.SkipRewrite {
 		res.Rewritten = spec.Cleanup()
 	} else {
-		rw, err := rewrite.RewriteContext(ctx, spec, opts.Rewrite)
+		ro := opts.Rewrite
+		ro.Tracer = tr
+		rw, err := rewrite.RewriteContext(ctx, spec, ro)
 		if err != nil {
 			sp.End()
 			return res, fmt.Errorf("core: rewriting: %w", err)
 		}
 		res.Rewritten = rw
 	}
+	sp.SetAttr("gates_in", spec.NumGates())
 	sp.SetAttr("gates", res.Rewritten.NumGates())
 	sp.End()
 

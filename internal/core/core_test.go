@@ -51,6 +51,15 @@ func TestRunReportC17(t *testing.T) {
 	if rep.Counter("gatelib/tiles_applied") == 0 {
 		t.Error("no gate-apply metrics recorded")
 	}
+	if rep.Counter("rewrite/iterations") == 0 || rep.Counter("rewrite/npn_lookups") == 0 {
+		t.Error("no rewrite iterations or NPN lookups recorded")
+	}
+	if _, ok := rep.Metrics["rewrite/npn_unsynthesizable"]; !ok {
+		t.Error("report missing the rewrite/npn_unsynthesizable counter")
+	}
+	if rw := rep.Stage("rewrite"); rw != nil && (rw.Attrs["gates_in"] != res.Spec.NumGates() || rw.Attrs["gates"] != res.Rewritten.NumGates()) {
+		t.Errorf("rewrite span attrs %v, want gates_in=%d gates=%d", rw.Attrs, res.Spec.NumGates(), res.Rewritten.NumGates())
+	}
 	if rep.Metrics["flow/sidbs"].Value <= 0 || rep.Metrics["flow/area_nm2"].Value <= 0 {
 		t.Errorf("flow gauges missing: %+v", rep.Metrics)
 	}

@@ -1,6 +1,8 @@
-// Package npn implements NPN canonicalization and SAT-based exact synthesis
-// of minimal XAG structures, forming the "exact NPN database" that flow step
-// (2) of the Bestagon paper uses for cut-based logic rewriting [38].
+// Package npn implements NPN canonicalization and the "exact NPN database"
+// that flow step (2) of the Bestagon paper uses for cut-based logic
+// rewriting [38]: a table, generated offline by SAT-based exact synthesis
+// (./gentable), of one minimal XAG structure per NPN class of up to four
+// inputs.
 //
 // Two functions are NPN-equivalent if one can be obtained from the other by
 // Negating inputs, Permuting inputs, and/or Negating the output. Rewriting
@@ -128,21 +130,4 @@ func Canonize(f tt.TT) (canon tt.TT, tr Transform) {
 	}
 	// bestTr maps f -> canon; the caller wants canon -> f.
 	return best, bestTr.Inverse()
-}
-
-// ClassCount enumerates the number of distinct NPN classes among all
-// functions of n ≤ 4 variables; exposed for validation (n=2: 4, n=3: 14,
-// n=4: 222).
-func ClassCount(n int) int {
-	seen := make(map[uint64]bool)
-	total := 1 << (1 << n)
-	for v := 0; v < total; v++ {
-		f := tt.New(n)
-		for i := 0; i < f.Bits(); i++ {
-			f.Set(i, v>>i&1 == 1)
-		}
-		c, _ := Canonize(f)
-		seen[c.Word()] = true
-	}
-	return len(seen)
 }

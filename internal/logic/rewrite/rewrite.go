@@ -16,6 +16,7 @@ import (
 	"repro/internal/logic/network"
 	"repro/internal/logic/npn"
 	"repro/internal/logic/tt"
+	"repro/internal/obs"
 )
 
 // Options tunes the rewriting loop.
@@ -26,8 +27,9 @@ type Options struct {
 	CutsPerNode int
 	// MaxIterations bounds the greedy replacement loop (default 50).
 	MaxIterations int
-	// DB is the exact NPN database; nil allocates a fresh one.
-	DB *npn.Database
+	// Tracer receives the rewrite/iterations, rewrite/npn_lookups and
+	// rewrite/npn_unsynthesizable counters; nil disables them at no cost.
+	Tracer *obs.Tracer
 }
 
 // withDefaults fills unset option fields.
@@ -41,9 +43,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 50
 	}
-	if o.DB == nil {
-		o.DB = npn.NewDatabase(nil)
-	}
 	return o
 }
 
@@ -55,16 +54,16 @@ func Rewrite(x *network.XAG, opts Options) *network.XAG {
 }
 
 // RewriteContext is Rewrite under a context: cancellation or deadline
-// expiry interrupts the exact-synthesis SAT searches and the greedy loop,
-// returning the context's error. The rewriting loop dominates the flow's
-// runtime on synthesis-heavy networks, so flow-wide cancellation depends
-// on this path aborting promptly. A nil context behaves like
-// context.Background.
+// expiry interrupts the greedy loop, returning the context's error. A nil
+// context behaves like context.Background.
 func RewriteContext(ctx context.Context, x *network.XAG, opts Options) (*network.XAG, error) {
 	o := opts.withDefaults()
+	var cnt counts
+	defer cnt.flush(o.Tracer)
 	cur := x.Cleanup()
 	for iter := 0; iter < o.MaxIterations; iter++ {
-		improved, next, err := rewriteOnce(ctx, cur, o)
+		cnt.iterations++
+		improved, next, err := rewriteOnce(ctx, cur, o, &cnt)
 		if err != nil {
 			return cur, err
 		}
@@ -74,6 +73,18 @@ func RewriteContext(ctx context.Context, x *network.XAG, opts Options) (*network
 		cur = next
 	}
 	return cur, nil
+}
+
+// counts accumulates the rewriting telemetry of one RewriteContext call.
+type counts struct {
+	iterations, lookups, unsynthesizable int64
+}
+
+// flush adds the counts to the tracer's counters (no-ops on a nil tracer).
+func (c *counts) flush(tr *obs.Tracer) {
+	tr.Counter("rewrite/iterations").Add(c.iterations)
+	tr.Counter("rewrite/npn_lookups").Add(c.lookups)
+	tr.Counter("rewrite/npn_unsynthesizable").Add(c.unsynthesizable)
 }
 
 // cut is a set of leaf node indices, sorted ascending.
@@ -270,7 +281,7 @@ type candidate struct {
 
 // rewriteOnce finds the best replacement candidate and applies it by
 // reconstruction. It reports whether the network shrank.
-func rewriteOnce(ctx context.Context, x *network.XAG, o Options) (bool, *network.XAG, error) {
+func rewriteOnce(ctx context.Context, x *network.XAG, o Options, cnt *counts) (bool, *network.XAG, error) {
 	cuts := enumerateCuts(x, o)
 	fanout := x.FanoutCounts()
 	poll := ctx != nil && ctx.Done() != nil
@@ -291,8 +302,10 @@ func rewriteOnce(ctx context.Context, x *network.XAG, o Options) (bool, *network
 			if !ok {
 				continue
 			}
-			st, ok := o.DB.LookupContext(ctx, f)
+			cnt.lookups++
+			st, ok := npn.Lookup(f)
 			if !ok {
+				cnt.unsynthesizable++
 				continue
 			}
 			gain := mffcSize(x, n, c, fanout) - st.Cost()

@@ -6,13 +6,8 @@ import (
 
 	"repro/internal/logic/bench"
 	"repro/internal/logic/network"
-	"repro/internal/logic/npn"
+	"repro/internal/obs"
 )
-
-// sharedDB caches exact synthesis results across tests to keep runtime low.
-var sharedDB = npn.NewDatabase(nil)
-
-func opts() Options { return Options{DB: sharedDB} }
 
 func checkSameFunction(t *testing.T, a, b *network.XAG) {
 	t.Helper()
@@ -36,7 +31,7 @@ func TestRewriteRedundantMux(t *testing.T) {
 	f := x.Or(t0, t1)
 	x.NewPO(f, "f")
 	before := x.NumGates()
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() > before {
 		t.Errorf("rewriting grew the network: %d -> %d", before, y.NumGates())
@@ -55,7 +50,7 @@ func TestRewriteCollapsesDuplicatedLogic(t *testing.T) {
 	x.NewPO(x1, "f1")
 	x.NewPO(x2, "f2")
 	before := x.NumGates()
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() >= before {
 		t.Errorf("expected shrink: %d -> %d", before, y.NumGates())
@@ -68,7 +63,7 @@ func TestRewriteAllBenchmarksPreserveFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := Rewrite(x, opts())
+		y := Rewrite(x, Options{})
 		checkSameFunction(t, x, y)
 		if y.NumGates() > x.NumGates() {
 			t.Errorf("%s: rewriting grew the network %d -> %d", name, x.NumGates(), y.NumGates())
@@ -83,7 +78,7 @@ func TestRewriteXor5MajorityShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, opts())
+	y := Rewrite(x, Options{})
 	checkSameFunction(t, x, y)
 	if y.NumGates() > x.NumGates()/2 {
 		t.Errorf("expected strong reduction, got %d -> %d", x.NumGates(), y.NumGates())
@@ -95,8 +90,8 @@ func TestRewriteIdempotentOnOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := Rewrite(x, opts())
-	z := Rewrite(y, opts())
+	y := Rewrite(x, Options{})
+	z := Rewrite(y, Options{})
 	if z.NumGates() != y.NumGates() {
 		t.Errorf("second rewrite changed size: %d -> %d", y.NumGates(), z.NumGates())
 	}
@@ -123,11 +118,35 @@ func TestRewriteRandomNetworks(t *testing.T) {
 		x.NewPO(sigs[len(sigs)-1], "f")
 		x.NewPO(sigs[len(sigs)-2], "g")
 		xc := x.Cleanup()
-		y := Rewrite(xc, opts())
+		y := Rewrite(xc, Options{})
 		checkSameFunction(t, xc, y)
 		if y.NumGates() > xc.NumGates() {
 			t.Errorf("trial %d: grew %d -> %d", trial, xc.NumGates(), y.NumGates())
 		}
+	}
+}
+
+func TestRewriteTelemetry(t *testing.T) {
+	x, err := bench.Load("xor5_majority")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	y := Rewrite(x, Options{Tracer: tr})
+	if z := Rewrite(x, Options{}); z.NumGates() != y.NumGates() {
+		t.Errorf("tracing changed the result: %d vs %d gates", y.NumGates(), z.NumGates())
+	}
+	rep := tr.Report("rewrite")
+	// xor5_majority shrinks over several greedy passes, each looking up
+	// the local function of every non-trivial cut.
+	if it := rep.Counter("rewrite/iterations"); it < 2 {
+		t.Errorf("rewrite/iterations = %d, want several passes", it)
+	}
+	if rep.Counter("rewrite/npn_lookups") <= rep.Counter("rewrite/iterations") {
+		t.Errorf("rewrite/npn_lookups = %d, want more than one per pass", rep.Counter("rewrite/npn_lookups"))
+	}
+	if _, ok := rep.Metrics["rewrite/npn_unsynthesizable"]; !ok {
+		t.Error("rewrite/npn_unsynthesizable counter missing")
 	}
 }
 

@@ -135,16 +135,25 @@ func TestFlowDiskCacheSurvivesRestart(t *testing.T) {
 }
 
 // TestFlowCancellation is the flow-wide cancellation acceptance test: the
-// exact engine on majority_5_r1 runs for several seconds cold (measured
-// ~5s), so a 200ms job deadline can only be met by the SAT search aborting
-// mid-run. The request must come back canceled well under the cold
-// runtime.
+// exact engine on a 4-bit ripple-carry adder with room for its 9×27-tile
+// layout runs for 10-12 s cold (measured on a 2-core x86-64 VM), so a
+// 200ms job deadline can only be met by the SAT search aborting mid-run.
+// The request must come back canceled well under the cold runtime.
 func TestFlowCancellation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	var src strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&src, "INPUT(a%d)\nINPUT(b%d)\nOUTPUT(s%d)\n", i, i, i)
+		fmt.Fprintf(&src, "p%[1]d = XOR(a%[1]d, b%[1]d)\ns%[1]d = XOR(p%[1]d, c%[1]d)\n", i)
+		fmt.Fprintf(&src, "g%[1]d = AND(a%[1]d, b%[1]d)\nt%[1]d = AND(p%[1]d, c%[1]d)\nc%[2]d = OR(g%[1]d, t%[1]d)\n", i, i+1)
+	}
+	src.WriteString("INPUT(c0)\nOUTPUT(c4)\n")
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/v1/flow", map[string]any{
-		"bench":      "majority_5_r1",
+		"source":     src.String(),
+		"name":       "rca4",
 		"engine":     "exact",
+		"max_area":   400,
 		"timeout_ms": 200,
 	})
 	elapsed := time.Since(start)

@@ -15,7 +15,9 @@ test:
 # SAT race coverage while skipping the hour-long exhaustive sweeps). The
 # second test run drives the sharded QuickExact search and the parallel
 # operational-domain sweep — the two many-goroutine hot paths — through
-# their full (non-short) tests under the race detector. staticcheck runs
+# their full (non-short) tests under the race detector, and the gate
+# validation cancel tests pit a cancel from another goroutine against the
+# exhaustive scan's context polling. staticcheck runs
 # when installed (CI installs it; locally: go install
 # honnef.co/go/tools/cmd/staticcheck@latest).
 check:
@@ -29,6 +31,7 @@ check:
 	$(GO) test -race -run 'TestDeterministicAcrossRunsAndWorkers|TestLargeInstanceExact|TestParallelMatchesSerial|TestSweepMetrics' \
 		./internal/sim/quickexact ./internal/opdomain
 	$(GO) test -race -run 'TestSweepDeterministicAcrossWorkers|TestSweepCancellation' ./internal/defects/sweep
+	$(GO) test -race -run 'TestValidateCanceled|TestCachedValidateCanceled' ./internal/gatelib ./internal/cache
 
 # race runs the complete suite under the race detector (slow).
 race:

@@ -2,10 +2,12 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gatelib"
 	"repro/internal/lattice"
@@ -192,6 +194,29 @@ func TestCachedValidate(t *testing.T) {
 	}
 	if v1.OK != v2.OK || v1.MinGapEV != v2.MinGapEV || len(v1.Outputs) != len(v2.Outputs) {
 		t.Fatalf("cached validation differs: %+v vs %+v", v1, v2)
+	}
+}
+
+// TestCachedValidateCanceled: a validation whose context is already
+// cancelled returns the context's error at once and caches nothing.
+func TestCachedValidateCanceled(t *testing.T) {
+	d, f, ok := gatelib.NewLibrary().Design("xnor:iNW:iNE:oSE")
+	if !ok {
+		t.Fatal("xnor missing from the library")
+	}
+	lru := NewLRU(1 << 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, hit, err := CachedValidate(ctx, lru, nil, d, gatelib.TruthOf(f), sim.ParamsFig5, gatelib.ValidateOptions{})
+	if !errors.Is(err, context.Canceled) || hit {
+		t.Fatalf("err = %v, hit = %v; want context.Canceled, miss", err, hit)
+	}
+	if el := time.Since(start); el > 100*time.Millisecond {
+		t.Errorf("cancelled validation took %v", el)
+	}
+	if n := lru.Len(); n != 0 {
+		t.Fatalf("cancelled validation left %d cache entries", n)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // stored (a failed solver lookup is returned uncached), and the cached
 // value is the full Validation including the per-pattern outputs and the
 // minimum energy gap. The context carries the request id for peer-layer
-// propagation; nil is treated as context.Background().
+// propagation and bounds the validation itself: a cancelled or expired
+// context returns its error and caches nothing. Nil is treated as
+// context.Background().
 func CachedValidate(ctx context.Context, lru *LRU, peer Layer, d *gatelib.Design, truth func(uint32) uint32, params sim.Params, opts gatelib.ValidateOptions) (gatelib.Validation, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -36,6 +38,7 @@ func CachedValidate(ctx context.Context, lru *LRU, peer Layer, d *gatelib.Design
 			}
 		}
 	}
+	opts.Ctx = ctx
 	v, err := gatelib.ValidateWith(d, truth, params, opts)
 	if err != nil {
 		return v, false, err

@@ -140,7 +140,7 @@ func Evaluate(t *Template, canvas []lattice.Site) Candidate {
 			for _, pair := range t.Outputs {
 				interest = append(interest, idx[pair.Bit0], idx[pair.Bit1])
 			}
-			if gap, err := eng.DegeneracyGap(interest); err == nil && gap < cand.MinGap {
+			if gap, err := eng.DegeneracyGap(interest, sim.SolveOptions{}); err == nil && gap < cand.MinGap {
 				cand.MinGap = gap
 			}
 		}

@@ -20,6 +20,16 @@ func freeDots(l *sidb.Layout) int {
 	return n
 }
 
+// mustExhaustive is ExhaustiveChecked that fails the test on error.
+func mustExhaustive(t *testing.T, e *sim.Engine) ([]bool, float64) {
+	t.Helper()
+	gs, en, err := e.ExhaustiveChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gs, en
+}
+
 // TestEnginesAgreeOnLibraryTiles is the golden cross-check of the three
 // ground-state engines: for every tile design of the Bestagon library, the
 // pruned exact search must reproduce the blind-enumeration energy exactly

@@ -41,8 +41,8 @@ func TestSQDRoundTripPreservesGroundState(t *testing.T) {
 
 	e1 := sim.NewEngine(l, sim.ParamsFig5)
 	e2 := sim.NewEngine(back, sim.ParamsFig5)
-	g1, en1 := e1.Exhaustive()
-	g2, en2 := e2.Exhaustive()
+	g1, en1 := mustExhaustive(t, e1)
+	g2, en2 := mustExhaustive(t, e2)
 	if en1 != en2 {
 		t.Fatalf("ground-state energy changed: %v -> %v", en1, en2)
 	}
@@ -98,7 +98,7 @@ func TestClockedHandoffPropagates(t *testing.T) {
 		}
 		up.Add(OutputPerturber(d.Outs[0]), sidb.RolePerturber)
 		upEng := sim.NewEngine(up, sim.ParamsFig5)
-		upGS, _ := upEng.Exhaustive()
+		upGS, _ := mustExhaustive(t, upEng)
 
 		// Phase 2: upstream charges held; downstream tile relaxes. The
 		// held charges become fixed dots; the upstream's validation-only
@@ -116,7 +116,7 @@ func TestClockedHandoffPropagates(t *testing.T) {
 		down.Add(OutputPerturber(out2), sidb.RolePerturber)
 
 		downEng := sim.NewEngine(down, sim.ParamsFig5)
-		downGS, _ := downEng.Exhaustive()
+		downGS, _ := mustExhaustive(t, downEng)
 		idx := down.SiteIndex()
 		state, err := out2.BDL().State(idx, downGS)
 		if err != nil {

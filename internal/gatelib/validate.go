@@ -1,6 +1,7 @@
 package gatelib
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gates"
@@ -101,7 +102,8 @@ type ValidateOptions struct {
 	// Solver names the sim ground-state solver ("" = automatic dispatch;
 	// see sim.SolverNames).
 	Solver string
-	// Tracer receives concurrency-safe solver metrics; nil disables them.
+	// Tracer receives concurrency-safe solver and gap-scan metrics
+	// (sim/gap/scans, sim/gap/configs); nil disables them.
 	Tracer *obs.Tracer
 	// Surface holds the surface defects in tile-local cell coordinates
 	// (translate a global surface by the negated tile origin first; see
@@ -110,6 +112,42 @@ type ValidateOptions struct {
 	// as FailDefectBlocked before any simulation; charged defects outside
 	// exclusion zones enter the electrostatics as fixed perturbers.
 	Surface *defects.Surface
+	// Ctx interrupts the validation when cancelled or past its deadline:
+	// the solves and gap scans stop and ValidateWith returns the context's
+	// error. Nil behaves like context.Background.
+	Ctx context.Context
+}
+
+// PatternLayout returns the design's standalone layout for one input
+// pattern (bit i is input i): the design dots plus the input and output
+// emulation perturbers.
+func (d *Design) PatternLayout(pattern int) *sidb.Layout {
+	l := d.Layout(0, 0)
+	for i, in := range d.Ins {
+		for _, site := range InputEmulation(in, pattern>>i&1 == 1) {
+			l.Add(site, sidb.RolePerturber)
+		}
+	}
+	have := l.SiteIndex()
+	for j, out := range d.Outs {
+		site := OutputPerturber(out)
+		if j < len(d.OutEmu) {
+			site = d.OutEmu[j]
+		}
+		// Designs with built-in read-out perturbers (PO tiles) already
+		// contain the emulation dot.
+		if _, dup := have[site]; dup {
+			continue
+		}
+		l.Add(site, sidb.RolePerturber)
+	}
+	// Extra downstream-emulation sites beyond one per output.
+	if len(d.OutEmu) > len(d.Outs) {
+		for _, site := range d.OutEmu[len(d.Outs):] {
+			l.Add(site, sidb.RolePerturber)
+		}
+	}
+	return l
 }
 
 // Validate simulates the design standalone for every input pattern and
@@ -121,14 +159,21 @@ func Validate(d *Design, truth func(uint32) uint32, params sim.Params) Validatio
 	return v
 }
 
-// ValidateWith is Validate with an explicit solver choice. It fails only
-// on an unknown solver name; a solver that cannot handle an instance
-// (e.g. ExGS beyond its enumeration limit) degrades to annealing for that
-// pattern.
+// ValidateWith is Validate with explicit options. It fails on an unknown
+// solver name and on a cancelled opts.Ctx; a solver that cannot handle an
+// instance (e.g. ExGS beyond its enumeration limit) degrades to annealing
+// for that pattern.
 func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts ValidateOptions) (Validation, error) {
 	solver, err := sim.Lookup(opts.Solver)
 	if err != nil {
 		return Validation{}, err
+	}
+	solveOpts := sim.SolveOptions{Tracer: opts.Tracer, Ctx: opts.Ctx}
+	canceled := func() error {
+		if err := solveOpts.Context().Err(); err != nil {
+			return fmt.Errorf("gatelib: validation canceled: %w", err)
+		}
+		return nil
 	}
 	nIn := len(d.Ins)
 	patterns := 1 << nIn
@@ -143,31 +188,10 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 	}
 	for p := 0; p < patterns; p++ {
-		l := d.Layout(0, 0)
-		for i, in := range d.Ins {
-			for _, site := range InputEmulation(in, p>>i&1 == 1) {
-				l.Add(site, sidb.RolePerturber)
-			}
+		if err := canceled(); err != nil {
+			return Validation{}, err
 		}
-		have := l.SiteIndex()
-		for j, out := range d.Outs {
-			site := OutputPerturber(out)
-			if j < len(d.OutEmu) {
-				site = d.OutEmu[j]
-			}
-			// Designs with built-in read-out perturbers (PO tiles) already
-			// contain the emulation dot.
-			if _, dup := have[site]; dup {
-				continue
-			}
-			l.Add(site, sidb.RolePerturber)
-		}
-		// Extra downstream-emulation sites beyond one per output.
-		if len(d.OutEmu) > len(d.Outs) {
-			for _, site := range d.OutEmu[len(d.Outs):] {
-				l.Add(site, sidb.RolePerturber)
-			}
-		}
+		l := d.PatternLayout(p)
 		free := 0
 		for _, dot := range l.Dots {
 			if dot.Role != sidb.RolePerturber {
@@ -189,11 +213,15 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		}
 		eng := sim.NewEngineOn(l, params, opts.Surface)
 		var gs []bool
-		if sol, serr := solver.Solve(eng, sim.SolveOptions{Tracer: opts.Tracer}); serr == nil {
+		if sol, serr := solver.Solve(eng, solveOpts); serr == nil {
 			gs = sol.Charges
 			v.Method = sol.Solver
 		} else {
-			gs, _ = eng.Anneal(sim.DefaultAnnealConfig())
+			// A cancelled ctx stops the annealer at once; the next
+			// canceled check reports it.
+			cfg := sim.DefaultAnnealConfig()
+			cfg.Ctx = opts.Ctx
+			gs, _ = eng.Anneal(cfg)
 			v.Method = "anneal"
 		}
 		idx := l.SiteIndex()
@@ -224,10 +252,13 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 				b := out.BDL()
 				interest = append(interest, idx[b.Bit0], idx[b.Bit1])
 			}
-			if gap, err := eng.DegeneracyGap(interest); err == nil && gap < v.MinGapEV {
+			if gap, err := eng.DegeneracyGap(interest, solveOpts); err == nil && gap < v.MinGapEV {
 				v.MinGapEV = gap
 			}
 		}
+	}
+	if err := canceled(); err != nil {
+		return Validation{}, err
 	}
 	if v.MinGapEV == 1e9 {
 		v.MinGapEV = 0
@@ -240,7 +271,11 @@ func ValidateWith(d *Design, truth func(uint32) uint32, params sim.Params, opts 
 		if !opts.Surface.Empty() {
 			pristine := opts
 			pristine.Surface = nil
-			if pv, perr := ValidateWith(d, truth, params, pristine); perr == nil && pv.OK {
+			pv, err := ValidateWith(d, truth, params, pristine) // fails only when cancelled
+			if err != nil {
+				return Validation{}, err
+			}
+			if pv.OK {
 				v.FailKind = FailDefectBlocked
 				v.DefectBlocked = true
 			}

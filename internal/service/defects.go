@@ -11,6 +11,7 @@ import (
 	"repro/internal/defects/sweep"
 	"repro/internal/lattice"
 	"repro/internal/obs"
+	"repro/internal/sidb"
 	"repro/internal/sim"
 )
 
@@ -56,6 +57,25 @@ func (ds *defectsSpec) surface() (*defects.Surface, error) {
 	}
 	region := lattice.Box{MinX: 0, MinY: 0, MaxX: ds.Width - 1, MaxY: ds.Height - 1}
 	return defects.Generate(ds.Seed, region, d), nil
+}
+
+// distinctSites rejects two charges on one lattice site: two dots, or a
+// dot and a charged defect. Their interaction is infinite, so no engine
+// has a meaningful ground state for the layout.
+func distinctSites(l *sidb.Layout, surf *defects.Surface) error {
+	seen := make(map[lattice.Site]int, len(l.Dots))
+	for i, d := range l.Dots {
+		if j, dup := seen[d.Site]; dup {
+			return fmt.Errorf("dots %d and %d share lattice site %v", j, i, d.Site)
+		}
+		seen[d.Site] = i
+	}
+	for _, d := range surf.Charged() {
+		if i, dup := seen[d.Site]; dup {
+			return fmt.Errorf("dot %d shares lattice site %v with a charged %v defect", i, d.Site, d.Type)
+		}
+	}
+	return nil
 }
 
 // ---- POST /v1/defects/sweep ----

@@ -54,6 +54,31 @@ func TestSimulateDefectsDistinctCache(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsCoincidentSites: two dots, or a dot and a charged
+// defect, on one lattice site interact infinitely; every engine must see
+// a 400 rather than return an "exact" energy for the impossible layout. A
+// neutral defect carries no field and stays accepted.
+func TestSimulateRejectsCoincidentSites(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	twoOnOne := []map[string]any{{"x": 0, "y": 0}, {"x": 0, "y": 0}, {"x": 10, "y": 0}}
+	for _, solver := range []string{"exgs", "quickexact", "anneal", "auto"} {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", map[string]any{"solver": solver, "dots": twoOnOne})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: two dots on one site: expected 400, got %d: %s", solver, resp.StatusCode, body)
+		}
+	}
+	onDefect := fourDots()
+	onDefect["defects"] = defectList(map[string]any{"x": 0, "y": 4, "type": "arsenic"})
+	if resp, body := postJSON(t, ts.URL+"/v1/simulate", onDefect); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("dot on a charged defect: expected 400, got %d: %s", resp.StatusCode, body)
+	}
+	onNeutral := fourDots()
+	onNeutral["defects"] = defectList(map[string]any{"x": 0, "y": 4, "type": "siloxane"})
+	if resp, body := postJSON(t, ts.URL+"/v1/simulate", onNeutral); resp.StatusCode != http.StatusOK {
+		t.Errorf("dot on a neutral defect: expected 200, got %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestValidateDefectBlocked: a defect inside a gate's exclusion zone must
 // fail validation with the distinct defect_blocked taxonomy, while the
 // pristine validation of the same gate stays OK (and cached separately).

@@ -855,6 +855,9 @@ func (s *Server) prepareSimulate(req *simulateRequest) (*preparedOp, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := distinctSites(layout, surf); err != nil {
+		return nil, err
+	}
 	// Cache outside the ladder: warm hits skip the degradation logic
 	// entirely, and the cache layer refuses to store degraded solutions,
 	// so cached entries are always full-quality.

@@ -98,6 +98,14 @@ func (d *Degrading) Solve(e *Engine, opts SolveOptions) (Solution, error) {
 
 	cfg := DefaultAnnealConfig()
 	cfg.Ctx = ctx
+	if deadline, ok := ctx.Deadline(); ok {
+		// Stop with a tenth of the budget left: the annealer notices
+		// cancellation between sweeps, and an answer that lands after
+		// the caller's deadline is discarded as a timeout.
+		var cancel context.CancelFunc
+		cfg.Ctx, cancel = context.WithDeadline(ctx, deadline.Add(-time.Until(deadline)/10))
+		defer cancel()
+	}
 	cfg.Metrics = opts.Tracer // span-free: the ladder can run on parallel workers
 	gs, en := e.Anneal(cfg)
 	// Unlike the plain anneal backend, a deadline expiring mid-anneal

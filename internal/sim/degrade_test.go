@@ -83,6 +83,31 @@ func TestDegradingSkipsExactWhenBudgetBelowMargin(t *testing.T) {
 	}
 }
 
+// TestDegradingAnswersBeforeDeadline: an anneal rung too long for its
+// budget must stop early enough that its answer arrives before the
+// caller's deadline, not just after it.
+func TestDegradingAnswersBeforeDeadline(t *testing.T) {
+	l := &sidb.Layout{Name: "degrade-large"}
+	for i := 0; i < 300; i++ {
+		l.Add(lattice.FromCell(i%20*4, i/20*3), sidb.RoleNormal)
+	}
+	e := NewEngine(l, ParamsFig5)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
+	d := &Degrading{Inner: neverSolver{}, Margin: time.Hour}
+	sol, err := d.Solve(e, SolveOptions{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late := time.Since(deadline); late >= 0 {
+		t.Fatalf("degraded answer arrived %v after the deadline", late)
+	}
+	if !sol.Degraded || len(sol.Charges) != 300 {
+		t.Fatalf("expected a degraded 300-dot solution, got degraded=%v dots=%d", sol.Degraded, len(sol.Charges))
+	}
+}
+
 // neverSolver fails the test if its Solve is reached.
 type neverSolver struct{}
 

@@ -18,8 +18,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"os"
 
 	"repro/internal/defects"
 	"repro/internal/lattice"
@@ -261,31 +261,15 @@ func (e *Engine) GroundState() ([]bool, float64) {
 // ExactLimit is the maximum number of free dots for exhaustive search.
 const ExactLimit = 22
 
-// ExhaustiveDegrades counts, process-wide, how often an exact Exhaustive
-// request silently degraded to simulated annealing because the instance
-// exceeded the 63-free-dot enumeration capability. The zero value is ready
-// to use; it is also mirrored onto any tracer passed to the solvers.
+// ExhaustiveDegrades counts, process-wide, exact ground-state requests
+// answered by annealing because the exact solver gave up (core's cell
+// simulation increments it; cmd/table1 refuses to report while it is
+// nonzero). The zero value is ready to use.
 var ExhaustiveDegrades obs.Counter
 
-// Exhaustive enumerates all charge configurations of the free dots and
-// returns a minimum-energy configuration (SiQAD's ExGS equivalent). When
-// the instance exceeds the 63-free-dot enumeration capability it degrades
-// to simulated annealing; the degrade increments ExhaustiveDegrades and
-// warns on stderr. Use ExhaustiveChecked to detect the case
-// programmatically.
-func (e *Engine) Exhaustive() ([]bool, float64) {
-	gs, en, err := e.ExhaustiveChecked()
-	if err != nil {
-		ExhaustiveDegrades.Inc()
-		fmt.Fprintf(os.Stderr, "sim: warning: %v; degrading exact request to simulated annealing (result no longer provably minimal)\n", err)
-		return e.Anneal(DefaultAnnealConfig())
-	}
-	return gs, en
-}
-
 // ExhaustiveChecked enumerates all charge configurations of the free dots
-// and returns a minimum-energy configuration, or an error when the
-// instance exceeds the enumeration capability.
+// and returns a minimum-energy configuration (SiQAD's ExGS equivalent), or
+// an error when the instance exceeds the enumeration capability.
 func (e *Engine) ExhaustiveChecked() ([]bool, float64, error) {
 	return e.ExhaustiveContext(context.Background())
 }
@@ -294,51 +278,87 @@ func (e *Engine) ExhaustiveChecked() ([]bool, float64, error) {
 // deadline expiry aborts the enumeration with the context's error. A nil
 // context behaves like context.Background.
 func (e *Engine) ExhaustiveContext(ctx context.Context) ([]bool, float64, error) {
-	poll := ctx != nil && ctx.Done() != nil
+	gs, en, _, err := e.scan(ctx, nil)
+	return gs, en, err
+}
+
+// scan is the exhaustive kernel behind ExGS and DegeneracyGap: one
+// gray-code pass over the 2^n configurations of the n free dots, O(n)
+// each, returning the ground state, its energy, and keyMin[k], the lowest
+// energy whose interest dots read k (bit b: dot interest[b] charged).
+// The flip delta dots V's row with a 0/1 charge vector in LocalPotential's
+// order; absent terms add ±0, so energies are bit-identical to a flipDelta
+// walk. No allocation per flip; ctx is polled every 0x4000 flips. A
+// non-finite V (two charges on one site) is refused: 0·Inf is NaN.
+func (e *Engine) scan(ctx context.Context, interest []int) (ground []bool, bestE float64, keyMin []float64, err error) {
+	free := e.FreeIndices()
 	n := len(e.Sites)
-	var freeIdx []int
-	for i := 0; i < n; i++ {
-		if !e.fixed[i] {
-			freeIdx = append(freeIdx, i)
-		}
+	switch {
+	case len(free) > 63:
+		return nil, 0, nil, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(free))
+	case len(interest) > 16:
+		return nil, 0, nil, fmt.Errorf("sim: %d dots of interest exceed the scan's 16", len(interest))
 	}
-	if len(freeIdx) > 63 {
-		return nil, 0, fmt.Errorf("sim: %d free dots exceed exhaustive capability", len(freeIdx))
-	}
-	base := make([]bool, n)
-	for i := range base {
-		base[i] = e.fixed[i] // perturbers always charged
-	}
-	best := append([]bool(nil), base...)
-	// Incremental energy evaluation via gray-code flips.
-	cur := append([]bool(nil), base...)
-	curE := e.Energy(cur)
-	bestE := curE
-	total := uint64(1) << len(freeIdx)
-	prevGray := uint64(0)
-	for k := uint64(1); k < total; k++ {
-		if poll && k&0x3FFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("sim: exhaustive search canceled: %w", err)
+	// V flattened with a zero diagonal, so the dot product skips dot i.
+	v := make([]float64, n*n)
+	for i, row := range e.V {
+		for j, x := range row {
+			if i == j {
+				continue
 			}
-		}
-		gray := k ^ (k >> 1)
-		diff := gray ^ prevGray
-		prevGray = gray
-		bit := 0
-		for diff>>1 != 0 {
-			diff >>= 1
-			bit++
-		}
-		i := freeIdx[bit]
-		curE += e.flipDelta(cur, i)
-		cur[i] = !cur[i]
-		if curE < bestE-1e-15 {
-			bestE = curE
-			copy(best, cur)
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				return nil, 0, nil, fmt.Errorf("sim: non-finite interaction between dots %d and %d (coincident sites?)", i, j)
+			}
+			v[i*n+j] = x
 		}
 	}
-	return best, bestE, nil
+	// mask[i] holds the key bits dot i drives (several for a repeated index).
+	mask := make([]uint64, n)
+	for b, i := range interest {
+		mask[i] |= 1 << b
+	}
+	ground = make([]bool, n)
+	q := make([]float64, n) // 1 for a charged dot, 0 for a neutral one
+	var key uint64
+	for i := range ground {
+		if e.fixed[i] { // perturbers always charged
+			ground[i], q[i] = true, 1
+			key ^= mask[i]
+		}
+	}
+	curE := e.Energy(ground)
+	bestE, bestK := curE, uint64(0)
+	keyMin = make([]float64, 1<<len(interest))
+	for k := range keyMin {
+		keyMin[k] = math.Inf(1)
+	}
+	keyMin[key] = curE
+	mu := e.Params.MuMinus
+	poll := ctx != nil && ctx.Done() != nil
+	for k, total := uint64(1), uint64(1)<<len(free); k < total; k++ {
+		if poll && k&0x3FFF == 0 && ctx.Err() != nil {
+			return nil, 0, nil, fmt.Errorf("sim: exhaustive search canceled: %w", ctx.Err())
+		}
+		i := free[bits.TrailingZeros64(k)] // the gray-code bit step k flips
+		row := v[i*n : i*n+n]
+		pot := 0.0
+		for j, qj := range q {
+			pot += row[j] * qj
+		}
+		curE += (mu + pot) * (1 - 2*q[i]) // charging adds μ_ + pot, discharging removes it
+		q[i] = 1 - q[i]
+		key ^= mask[i]
+		if curE < bestE-1e-15 {
+			bestE, bestK = curE, k
+		}
+		if curE < keyMin[key] {
+			keyMin[key] = curE
+		}
+	}
+	for b, i := range free { // the ground state is configuration gray(bestK)
+		ground[i] = (bestK^bestK>>1)>>b&1 == 1
+	}
+	return ground, bestE, keyMin, nil
 }
 
 // flipDelta returns the energy change of flipping dot i's charge.
@@ -433,7 +453,7 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 		cool := math.Pow(cfg.TEnd/cfg.TStart, 1/float64(cfg.Sweeps))
 		temp := cfg.TStart
 		for sweep := 0; sweep < cfg.Sweeps; sweep++ {
-			if sweep&15 == 0 && canceled() {
+			if canceled() {
 				break
 			}
 			for range freeIdx {
@@ -505,55 +525,31 @@ func (e *Engine) Anneal(cfg AnnealConfig) ([]bool, float64) {
 
 // DegeneracyGap returns the energy gap between the ground state and the
 // lowest configuration whose charges differ on the given dots of interest
-// (e.g. an output pair read differently). Exhaustive only; used to assess
-// how robustly a gate encodes its output.
-func (e *Engine) DegeneracyGap(interest []int) (float64, error) {
-	n := len(e.Sites)
-	var freeIdx []int
-	for i := 0; i < n; i++ {
-		if !e.fixed[i] {
-			freeIdx = append(freeIdx, i)
+// (e.g. an output pair read differently), from one exhaustive scan; it
+// assesses how robustly a gate encodes its output. Instances beyond
+// ExactLimit free dots are refused. opts.Ctx aborts the scan and
+// opts.Tracer receives the sim/gap/scans and sim/gap/configs counters.
+func (e *Engine) DegeneracyGap(interest []int, opts SolveOptions) (float64, error) {
+	free := len(e.FreeIndices())
+	if free > ExactLimit {
+		return 0, fmt.Errorf("sim: degeneracy gap needs exhaustive search (%d free dots)", free)
+	}
+	ground, groundE, keyMin, err := e.scan(opts.Ctx, interest)
+	if err != nil {
+		return 0, err
+	}
+	opts.Tracer.Counter("sim/gap/scans").Inc()
+	opts.Tracer.Counter("sim/gap/configs").Add(1 << free)
+	groundKey := 0
+	for b, i := range interest {
+		if ground[i] {
+			groundKey |= 1 << b
 		}
 	}
-	if len(freeIdx) > ExactLimit {
-		return 0, fmt.Errorf("sim: degeneracy gap needs exhaustive search (%d free dots)", len(freeIdx))
-	}
-	ground, groundE := e.Exhaustive()
-	key := func(c []bool) uint64 {
-		var k uint64
-		for bit, i := range interest {
-			if c[i] {
-				k |= 1 << bit
-			}
-		}
-		return k
-	}
-	groundKey := key(ground)
 	bestOther := math.Inf(1)
-	cur := make([]bool, n)
-	for i := range cur {
-		cur[i] = e.fixed[i]
-	}
-	curE := e.Energy(cur)
-	total := uint64(1) << len(freeIdx)
-	prevGray := uint64(0)
-	if key(cur) != groundKey && curE < bestOther {
-		bestOther = curE
-	}
-	for k := uint64(1); k < total; k++ {
-		gray := k ^ (k >> 1)
-		diff := gray ^ prevGray
-		prevGray = gray
-		bit := 0
-		for diff>>1 != 0 {
-			diff >>= 1
-			bit++
-		}
-		i := freeIdx[bit]
-		curE += e.flipDelta(cur, i)
-		cur[i] = !cur[i]
-		if key(cur) != groundKey && curE < bestOther {
-			bestOther = curE
+	for k, en := range keyMin {
+		if k != groundKey && en < bestOther {
+			bestOther = en
 		}
 	}
 	return bestOther - groundE, nil

@@ -8,6 +8,16 @@ import (
 	"repro/internal/sidb"
 )
 
+// mustExhaustive is ExhaustiveChecked that fails the test on error.
+func mustExhaustive(t *testing.T, e *Engine) ([]bool, float64) {
+	t.Helper()
+	gs, en, err := e.ExhaustiveChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gs, en
+}
+
 func TestPotentialValues(t *testing.T) {
 	p := ParamsFig5
 	// V(d) = 1.4399645/5.6 * exp(-d/5)/d
@@ -32,7 +42,7 @@ func TestIsolatedDotCharges(t *testing.T) {
 	l := &sidb.Layout{}
 	l.AddCell(0, 0, sidb.RoleNormal)
 	e := NewEngine(l, ParamsFig5)
-	gs, energy := e.Exhaustive()
+	gs, energy := mustExhaustive(t, e)
 	if !gs[0] {
 		t.Error("isolated DB must be negatively charged (mu < 0)")
 	}
@@ -48,7 +58,7 @@ func TestClosePairSharesOneElectron(t *testing.T) {
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(1, 2, sidb.RoleNormal) // 0.86 nm
 	e := NewEngine(l, ParamsFig5)
-	gs, _ := e.Exhaustive()
+	gs, _ := mustExhaustive(t, e)
 	if !gs[0] || !gs[1] {
 		t.Error("0.86 nm pair should doubly charge in isolation at mu=-0.32")
 	}
@@ -57,7 +67,7 @@ func TestClosePairSharesOneElectron(t *testing.T) {
 	l2.AddCell(0, 0, sidb.RoleNormal)
 	l2.AddCell(1, 1, sidb.RoleNormal) // 0.445 nm
 	e2 := NewEngine(l2, ParamsFig5)
-	gs2, _ := e2.Exhaustive()
+	gs2, _ := mustExhaustive(t, e2)
 	if gs2[0] == gs2[1] {
 		t.Errorf("0.445 nm pair must hold exactly one electron, got %v", gs2)
 	}
@@ -68,7 +78,7 @@ func TestPerturberPinned(t *testing.T) {
 	l.AddCell(0, 0, sidb.RolePerturber)
 	l.AddCell(1, 1, sidb.RolePerturber)
 	e := NewEngine(l, ParamsFig5)
-	gs, _ := e.Exhaustive()
+	gs, _ := mustExhaustive(t, e)
 	if !gs[0] || !gs[1] {
 		t.Error("perturbers must stay charged regardless of energy")
 	}
@@ -114,7 +124,7 @@ func TestExhaustiveIsMinimum(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		_, bestE := e.Exhaustive()
+		_, bestE := mustExhaustive(t, e)
 		// Compare against brute-force enumeration with direct Energy calls.
 		min := math.Inf(1)
 		cfg := make([]bool, n)
@@ -148,7 +158,7 @@ func TestGroundStateIsPopulationStable(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		gs, _ := e.Exhaustive()
+		gs, _ := mustExhaustive(t, e)
 		if !e.PopulationStable(gs) {
 			t.Fatalf("trial %d: ground state not population stable", trial)
 		}
@@ -171,7 +181,7 @@ func TestAnnealMatchesExhaustive(t *testing.T) {
 			}
 		}
 		e := NewEngine(l, ParamsFig5)
-		_, exact := e.Exhaustive()
+		_, exact := mustExhaustive(t, e)
 		_, annealed := e.Anneal(DefaultAnnealConfig())
 		if annealed > exact+1e-9 {
 			t.Errorf("trial %d: anneal %v worse than exact %v", trial, annealed, exact)
@@ -207,7 +217,7 @@ func TestGroundStateAutoSelect(t *testing.T) {
 	}
 	e := NewEngine(l, ParamsFig5)
 	gs, energy := e.GroundState()
-	_, exact := e.Exhaustive()
+	_, exact := mustExhaustive(t, e)
 	if math.Abs(energy-exact) > 1e-12 {
 		t.Error("auto ground state must match exhaustive for small instances")
 	}
@@ -224,7 +234,7 @@ func TestDegeneracyGap(t *testing.T) {
 	l.AddCell(0, 0, sidb.RoleNormal)
 	l.AddCell(100, 0, sidb.RoleNormal)
 	e := NewEngine(l, ParamsFig5)
-	gap, err := e.DegeneracyGap([]int{0})
+	gap, err := e.DegeneracyGap([]int{0}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
